@@ -6,7 +6,7 @@
 // Each experiment bench reports the reproduced headline numbers as custom
 // metrics (schedule length, simulation effort, temperatures), so a bench run
 // doubles as a results table. Shapes, not absolute values, are the
-// comparison criterion against the paper — see EXPERIMENTS.md.
+// comparison criterion against the paper — see DESIGN.md §4.
 package thermalsched_test
 
 import (

@@ -59,9 +59,6 @@ func NewQueuedPool(workers, queueDepth int) *Pool {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-// InFlight returns the number of tasks currently holding a slot.
-func (p *Pool) InFlight() int { return len(p.sem) }
-
 // QueueDepth returns the admission-queue bound (waiting tasks beyond the
 // running ones), or -1 for a pool without one.
 func (p *Pool) QueueDepth() int {

@@ -191,11 +191,7 @@ func TestWorkRequestSpecRoundTrip(t *testing.T) {
 
 func specKey(t *testing.T, spec *testspec.Spec, pkg thermal.PackageConfig) [32]byte {
 	t.Helper()
-	m, err := thermal.NewModel(spec.Floorplan(), pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := oraclestore.DescForModel(m, spec.Profile()).Key()
+	key, err := oraclestore.DescForBlockModel(spec.Floorplan(), pkg, spec.Profile()).Key()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -397,12 +397,6 @@ func (ss *SuperSymbolic) WorkspaceBytes() int64 {
 	return int64(ss.maxRows)*int64(ss.maxW)*8 + int64(ss.sym.n)*4 + int64(ss.maxRows)*4
 }
 
-// PanelOf returns the panel index of column j (in permuted coordinates).
-func (ss *SuperSymbolic) PanelOf(j int) int { return int(ss.snode[j]) }
-
-// ColRange returns the column range [f, l) of panel s.
-func (ss *SuperSymbolic) ColRange(s int) (int, int) { return ss.first[s], ss.first[s+1] }
-
 // Factorize runs the supernodal numeric factorization of s. The result is
 // bit-identical to sym.Factorize(s) — same lp/li/lx down to the float bits —
 // but computed panel-at-a-time with dense inner loops and, when

@@ -327,8 +327,9 @@ func TestStoreEvictInProcessLRUClock(t *testing.T) {
 }
 
 // TestDescForBlockModelMatchesBuiltModel: the model-free description hashes
-// to the same content address as the built model's — the invariant the
-// schedule service's warm-map lookup relies on.
+// to the same content address as one read back from the built model (its
+// floorplan, stored package config and solver backend) — so the address
+// taken before the build names the physics the model actually solves.
 func TestDescForBlockModelMatchesBuiltModel(t *testing.T) {
 	spec := testspec.Alpha21364()
 	cfg := thermal.DefaultPackageConfig()
@@ -336,7 +337,13 @@ func TestDescForBlockModelMatchesBuiltModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := DescForModel(m, spec.Profile()).Key()
+	built := SystemDesc{
+		Floorplan: m.Floorplan(),
+		Package:   m.Config(),
+		Profile:   spec.Profile(),
+		Backend:   m.SolverBackend(),
+	}
+	a, err := built.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +352,7 @@ func TestDescForBlockModelMatchesBuiltModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("DescForBlockModel key %x != DescForModel key %x", b, a)
+		t.Fatalf("DescForBlockModel key %x != built model's key %x", b, a)
 	}
 }
 

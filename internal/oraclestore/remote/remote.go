@@ -246,16 +246,6 @@ func (c *Client) Push(key [32]byte, data []byte) error {
 	return nil
 }
 
-// BreakerStates reports each node's breaker state keyed by base URL, for
-// health displays.
-func (c *Client) BreakerStates() map[string]oraclestore.BreakerState {
-	out := make(map[string]oraclestore.BreakerState, len(c.nodes))
-	for _, n := range c.nodes {
-		out[n.base] = n.brk.State()
-	}
-	return out
-}
-
 var _ oraclestore.RemoteTier = (*Client)(nil)
 
 // nodeBreaker is the per-node circuit breaker — the same closed / open /

@@ -19,11 +19,7 @@ import (
 func alphaDesc(t *testing.T) oraclestore.SystemDesc {
 	t.Helper()
 	spec := testspec.Alpha21364()
-	m, err := thermal.NewModel(spec.Floorplan(), thermal.DefaultPackageConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return oraclestore.DescForModel(m, spec.Profile())
+	return oraclestore.DescForBlockModel(spec.Floorplan(), thermal.DefaultPackageConfig(), spec.Profile())
 }
 
 // localFile opens a store in dir, puts the given records, and returns the

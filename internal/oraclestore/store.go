@@ -90,22 +90,10 @@ type SystemDesc struct {
 	Tolerance float64
 }
 
-// DescForModel describes the block-model oracle of m with prof — the
-// SimOracle configuration.
-func DescForModel(m *thermal.Model, prof *power.Profile) SystemDesc {
-	return SystemDesc{
-		Floorplan: m.Floorplan(),
-		Package:   m.Config(),
-		Profile:   prof,
-		Backend:   m.SolverBackend(),
-	}
-}
-
 // DescForBlockModel describes the block-model oracle of fp under cfg with
 // prof without building the model — the backend is a pure function of the
 // block count (thermal.SolverBackendForBlocks), so the content address is
-// available before the model's factorization is paid. Identical to
-// DescForModel over the built model.
+// available before the model's factorization is paid.
 func DescForBlockModel(fp *floorplan.Floorplan, cfg thermal.PackageConfig, prof *power.Profile) SystemDesc {
 	return SystemDesc{
 		Floorplan: fp,

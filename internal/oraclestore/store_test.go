@@ -14,11 +14,12 @@ import (
 func alphaDesc(t *testing.T) (SystemDesc, *testspec.Spec, *thermal.Model) {
 	t.Helper()
 	spec := testspec.Alpha21364()
-	m, err := thermal.NewModel(spec.Floorplan(), thermal.DefaultPackageConfig())
+	cfg := thermal.DefaultPackageConfig()
+	m, err := thermal.NewModel(spec.Floorplan(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return DescForModel(m, spec.Profile()), spec, m
+	return DescForBlockModel(spec.Floorplan(), cfg, spec.Profile()), spec, m
 }
 
 func openSystem(t *testing.T, dir string) (*Store, *SystemCache) {
@@ -220,7 +221,7 @@ func TestSystemKeyDistinguishesInputs(t *testing.T) {
 	}
 
 	// Same inputs → same key (content addressing is deterministic).
-	same, err := DescForModel(m, spec.Profile()).Key()
+	same, err := DescForBlockModel(spec.Floorplan(), m.Config(), spec.Profile()).Key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,10 @@ func TestStoreFileLayout(t *testing.T) {
 	}
 }
 
-func TestWrapLazySkipsBuildOnWarmStore(t *testing.T) {
+// TestWrapLazyOracleSkipsBuildOnWarmStore: the store wrapped over a
+// core.LazyOracle — the composition the system assembly uses for grid
+// oracles — builds the inner oracle once when cold and never when warm.
+func TestWrapLazyOracleSkipsBuildOnWarmStore(t *testing.T) {
 	dir := t.TempDir()
 	desc, spec, m := alphaDesc(t)
 	sim := core.NewSimOracle(m, spec.Profile())
@@ -415,7 +419,7 @@ func TestWrapLazySkipsBuildOnWarmStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	builds := 0
-	oracle := sc.WrapLazy(func() (core.Oracle, error) { builds++; return sim, nil })
+	oracle := sc.Wrap(core.NewLazyOracle(func() (core.Oracle, error) { builds++; return sim, nil }))
 	sessions := [][]int{{0}, {1, 2}, {3, 4, 5}}
 	want := make([][]float64, len(sessions))
 	for i, s := range sessions {
@@ -443,10 +447,10 @@ func TestWrapLazySkipsBuildOnWarmStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmBuilds := 0
-	warm := sc2.WrapLazy(func() (core.Oracle, error) {
+	warm := sc2.Wrap(core.NewLazyOracle(func() (core.Oracle, error) {
 		warmBuilds++
 		return core.NewSimOracle(m, spec.Profile()), nil
-	})
+	}))
 	for i, s := range sessions {
 		temps, err := warm.BlockTemps(s)
 		if err != nil {
@@ -498,16 +502,12 @@ func TestSystemCacheConcurrent(t *testing.T) {
 
 func BenchmarkSystemCacheGet(b *testing.B) {
 	spec := testspec.Alpha21364()
-	m, err := thermal.NewModel(spec.Floorplan(), thermal.DefaultPackageConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
 	st, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	sc, err := st.System(DescForModel(m, spec.Profile()))
+	sc, err := st.System(DescForBlockModel(spec.Floorplan(), thermal.DefaultPackageConfig(), spec.Profile()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -587,7 +587,7 @@ func TestStoreOracleBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	builds := 0
-	warmOracle := sc2.WrapLazy(func() (core.Oracle, error) { builds++; return sim, nil }).(core.BatchOracle)
+	warmOracle := sc2.Wrap(core.NewLazyOracle(func() (core.Oracle, error) { builds++; return sim, nil })).(core.BatchOracle)
 	again, err := warmOracle.BlockTempsBatch(sessions)
 	if err != nil {
 		t.Fatal(err)

@@ -657,18 +657,11 @@ type storeOracle struct {
 	inner core.Oracle
 }
 
-// Wrap layers the cache over an existing oracle.
+// Wrap layers the cache over an existing oracle. Over a core.LazyOracle, a
+// fully warm run never pays the inner oracle's construction — for grid
+// oracles that is the sparse factorization.
 func (c *SystemCache) Wrap(inner core.Oracle) core.Oracle {
 	return &storeOracle{cache: c, inner: inner}
-}
-
-// WrapLazy layers the cache over an oracle that is only constructed on the
-// first store miss (via core.LazyOracle). A fully warm run therefore never
-// pays the inner oracle's construction cost — for grid-resolution oracles
-// that is the sparse factorization, which dominates a warm process's
-// start-up.
-func (c *SystemCache) WrapLazy(build func() (core.Oracle, error)) core.Oracle {
-	return &storeOracle{cache: c, inner: core.NewLazyOracle(build)}
 }
 
 // BlockTemps implements core.Oracle.

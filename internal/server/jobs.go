@@ -258,21 +258,21 @@ func (s *Server) runJob(j *jobs.Job) {
 	// interrupt check.
 	j.SetCancel(cancelCause)
 
-	entry, env, warm, err := s.acquireSystem(p)
+	entry, sys, warm, err := s.acquireSystem(p)
 	if err != nil {
 		s.jobs.SetFailed(j, fmt.Sprintf("building system: %v", err))
 		return
 	}
 	defer s.release(entry)
 
-	t0 := snapshotTiers(env)
+	t0 := snapshotTiers(sys)
 	// Progress events ride the generator's callback: phase/coverage from the
 	// generator, tier-hit deltas read from the live caches. Runs on the
 	// generation goroutine, so it must stay cheap — two atomic reads and one
 	// small marshal per committed session.
 	genCfg := p.genCfg
 	genCfg.Progress = func(pi core.ProgressInfo) {
-		t1 := snapshotTiers(env)
+		t1 := snapshotTiers(sys)
 		s.jobs.Progress(j, JobProgressEvent{
 			Phase:          pi.Phase,
 			Sessions:       pi.Sessions,
@@ -300,7 +300,7 @@ func (s *Server) runJob(j *jobs.Job) {
 		queueDur = time.Since(queued)
 		s.jobs.SetRunning(j)
 		g0 := time.Now()
-		res, genErr = env.GenerateContext(ctx, genCfg)
+		res, genErr = sys.GenerateContext(ctx, genCfg)
 		genDur = time.Since(g0)
 	})
 	s.maybeEvict()
@@ -311,7 +311,7 @@ func (s *Server) runJob(j *jobs.Job) {
 		digest := resultDigest(result)
 		resp := ScheduleResponse{
 			Result: result,
-			Cache:  cacheInfo(env, warm, t0),
+			Cache:  cacheInfo(sys, warm, t0),
 			Timing: TimingInfo{
 				QueueMS:    float64(queueDur) / float64(time.Millisecond),
 				GenerateMS: float64(genDur) / float64(time.Millisecond),

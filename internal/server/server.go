@@ -1,9 +1,9 @@
 // Package server is the streaming schedule service: a long-lived HTTP/JSON
 // front end over the scheduling engine and its warm oracle tiers. Each
-// distinct thermal system a request names becomes a live environment — block
-// and session models plus the two-tier (in-memory memo + persistent
-// content-addressed store) validation-oracle cache — keyed by the
-// oraclestore content address, so repeated and concurrent requests for the
+// distinct thermal system a request names becomes a live system.System —
+// block and session models plus the two-tier (in-memory memo + persistent
+// content-addressed store) validation-oracle cache — keyed by its
+// content address (system.Desc), so repeated and concurrent requests for the
 // same system answer from warm state instead of re-simulating. One bounded
 // worker pool (internal/conc.Pool) is shared across all requests, keeping
 // total simulation parallelism fixed under concurrent load, and the
@@ -48,11 +48,11 @@ import (
 
 	"repro/internal/conc"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/oraclestore"
 	"repro/internal/oraclestore/remote"
 	"repro/internal/schedule"
+	"repro/internal/system"
 	"repro/internal/testspec"
 	"repro/internal/thermal"
 )
@@ -137,7 +137,7 @@ type Server struct {
 	draining atomic.Bool
 
 	mu sync.Mutex
-	// systems keys live environments by system key: the oraclestore content
+	// systems keys live systems by system key: the oraclestore content
 	// address of the validation oracle, extended with the per-core test
 	// lengths (two specs may share oracle answers — same physics — while
 	// needing distinct schedules).
@@ -158,19 +158,23 @@ type Server struct {
 	dlQueued       atomic.Int64 // deadline expired while waiting for a worker
 	dlGenerating   atomic.Int64 // deadline expired mid-generation
 	systemsDropped atomic.Int64 // idle systems LRU-dropped by MaxSystems
+
+	// retired sums the tier counters of systems dropped from the live map,
+	// so the /metrics tier *_total counters never go backwards. Guarded by mu.
+	retired tierSnap
 }
 
-// systemEntry is one live system. The environment is built at most once, by
-// the first request to need it; concurrent cold requests for the same system
-// wait on the same build. env and err are written under the server mu (the
+// systemEntry is one live system. The system is built at most once, by the
+// first request to need it; concurrent cold requests for the same system
+// wait on the same build. sys and err are written under the server mu (the
 // sync.Once alone would not order them against the map iterations of
 // /v1/systems, /metrics and maybeEvict, which run while a build is still in
 // flight).
 type systemEntry struct {
 	once sync.Once
-	bld  func() (*experiments.Env, error)
-	env  *experiments.Env // guarded by Server.mu for cross-entry readers
-	err  error            // guarded by Server.mu for cross-entry readers
+	bld  func() (*system.System, error)
+	sys  *system.System // guarded by Server.mu for cross-entry readers
+	err  error          // guarded by Server.mu for cross-entry readers
 
 	oracleKey [32]byte
 	name      string
@@ -388,20 +392,19 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
+// sysOptions is the assembly options of every system this server builds at
+// grid resolution gridRes (0 for the block model).
+func (s *Server) sysOptions(gridRes int) system.Options {
+	return system.Options{Store: s.store, GridRes: gridRes, Grid: s.cfg.Grid}
+}
+
 // systemKeys derives the server map key and the oraclestore content address
-// for a resolved request. The map key extends the oracle key with the
-// per-core test lengths: oracle answers depend only on the physics, but the
-// schedule (and so the live environment's spec) also depends on how long
+// (system.Desc) for a resolved request. The map key extends the oracle key
+// with the per-core test lengths: oracle answers depend only on the physics,
+// but the schedule (and so the live system's spec) also depends on how long
 // each core tests.
-func systemKeys(spec *testspec.Spec, cfg thermal.PackageConfig, gridRes int, grid thermal.GridOptions) (mapKey, oracleKey [32]byte, err error) {
-	var desc oraclestore.SystemDesc
-	if gridRes > 0 {
-		desc = oraclestore.DescForGrid(spec.Floorplan(), cfg, spec.Profile(),
-			gridRes, gridRes, grid)
-	} else {
-		desc = oraclestore.DescForBlockModel(spec.Floorplan(), cfg, spec.Profile())
-	}
-	oracleKey, err = desc.Key()
+func systemKeys(spec *testspec.Spec, cfg thermal.PackageConfig, opts system.Options) (mapKey, oracleKey [32]byte, err error) {
+	oracleKey, err = system.Desc(spec, cfg, opts).Key()
 	if err != nil {
 		return mapKey, oracleKey, err
 	}
@@ -436,9 +439,8 @@ func (s *Server) system(mapKey, oracleKey [32]byte, spec *testspec.Spec, pkg the
 		lastUse:   time.Now(),
 		inflight:  1,
 	}
-	e.bld = func() (*experiments.Env, error) {
-		return experiments.NewEnvWithOptions(spec, pkg,
-			experiments.EnvOptions{Store: s.store, GridRes: gridRes, Grid: s.cfg.Grid})
+	e.bld = func() (*system.System, error) {
+		return system.New(spec, pkg, s.sysOptions(gridRes))
 	}
 	s.systems[mapKey] = e
 	s.boundSystemsLocked()
@@ -452,8 +454,19 @@ func (s *Server) release(e *systemEntry) {
 	s.mu.Unlock()
 }
 
+// deleteSystemLocked removes a live entry, adding its tier counters to the
+// retired totals first. Every removal from the live map goes through here.
+// Traffic a request still in flight adds after a store-eviction drop is not
+// counted; the totals stay monotone. Callers hold s.mu.
+func (s *Server) deleteSystemLocked(k [32]byte, e *systemEntry) {
+	if e.sys != nil {
+		s.retired = s.retired.plus(snapshotTiers(e.sys))
+	}
+	delete(s.systems, k)
+}
+
 // boundSystemsLocked enforces Config.MaxSystems by dropping the least
-// recently used idle entries. Live environments are derived state: the
+// recently used idle entries. Live systems are derived state: the
 // persistent store file survives, so a dropped system re-requested later
 // warm-starts from tier 2 instead of re-simulating. Entries with requests in
 // flight are skipped, so under enough concurrent distinct-system load the
@@ -478,7 +491,7 @@ func (s *Server) boundSystemsLocked() {
 		if len(s.systems) <= max {
 			break
 		}
-		delete(s.systems, c.key)
+		s.deleteSystemLocked(c.key, s.systems[c.key])
 		s.systemsDropped.Add(1)
 	}
 }
@@ -488,7 +501,7 @@ func (s *Server) dropSystem(mapKey [32]byte, e *systemEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.systems[mapKey]; ok && cur == e {
-		delete(s.systems, mapKey)
+		s.deleteSystemLocked(mapKey, e)
 	}
 }
 
@@ -517,8 +530,8 @@ func (s *Server) maybeEvict() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, e := range s.systems {
-		if e.env != nil && e.env.StoreCache != nil && e.env.StoreCache.Evicted() {
-			delete(s.systems, k)
+		if e.sys != nil && e.sys.StoreCache != nil && e.sys.StoreCache.Evicted() {
+			s.deleteSystemLocked(k, e)
 		}
 	}
 }
@@ -606,7 +619,7 @@ func (s *Server) resolveProblem(req *ScheduleRequest) (*problem, string, error) 
 	if err := pkg.Validate(); err != nil {
 		return nil, "bad_package", err
 	}
-	mapKey, oracleKey, err := systemKeys(spec, pkg, req.GridRes, s.cfg.Grid)
+	mapKey, oracleKey, err := systemKeys(spec, pkg, s.sysOptions(req.GridRes))
 	if err != nil {
 		return nil, "bad_workload", err
 	}
@@ -620,28 +633,32 @@ func (s *Server) resolveProblem(req *ScheduleRequest) (*problem, string, error) 
 // request can report only its own tier traffic as deltas.
 type tierSnap struct{ h, m, sh, sm int64 }
 
-func snapshotTiers(env *experiments.Env) tierSnap {
+func (t tierSnap) plus(o tierSnap) tierSnap {
+	return tierSnap{t.h + o.h, t.m + o.m, t.sh + o.sh, t.sm + o.sm}
+}
+
+func snapshotTiers(sys *system.System) tierSnap {
 	var t tierSnap
-	t.h, t.m = env.Oracle.Stats()
-	if env.StoreCache != nil {
-		t.sh, t.sm = env.StoreCache.Stats()
+	t.h, t.m = sys.Oracle.Stats()
+	if sys.StoreCache != nil {
+		t.sh, t.sm = sys.StoreCache.Stats()
 	}
 	return t
 }
 
 // cacheInfo assembles the response's cache section from the baseline snap.
-func cacheInfo(env *experiments.Env, warm bool, t0 tierSnap) CacheInfo {
-	t1 := snapshotTiers(env)
+func cacheInfo(sys *system.System, warm bool, t0 tierSnap) CacheInfo {
+	t1 := snapshotTiers(sys)
 	ci := CacheInfo{
 		SystemWarm:     warm,
 		Tier1Hits:      t1.h - t0.h,
 		Tier1Misses:    t1.m - t0.m,
 		Tier2Hits:      t1.sh - t0.sh,
 		Tier2Misses:    t1.sm - t0.sm,
-		GridFactorized: env.Lazy != nil && env.Lazy.Built(),
+		GridFactorized: sys.Lazy != nil && sys.Lazy.Built(),
 	}
-	if env.StoreCache != nil {
-		ci.StoreLoaded = env.StoreCache.Loaded()
+	if sys.StoreCache != nil {
+		ci.StoreLoaded = sys.StoreCache.Loaded()
 	}
 	return ci
 }
@@ -670,27 +687,27 @@ func buildScheduleResult(req *ScheduleRequest, p *problem, res *core.Result) Sch
 	return result
 }
 
-// acquireSystem returns the built environment for a problem, building it cold
-// if needed; callers must s.release(entry) when done.
-func (s *Server) acquireSystem(p *problem) (entry *systemEntry, env *experiments.Env, warm bool, err error) {
+// acquireSystem returns the built system for a problem, building it cold if
+// needed; callers must s.release(entry) when done.
+func (s *Server) acquireSystem(p *problem) (entry *systemEntry, sys *system.System, warm bool, err error) {
 	entry, warm = s.system(p.mapKey, p.oracleKey, p.spec, p.pkg, p.gridRes)
 	entry.once.Do(func() {
-		env, err := entry.bld()
+		sys, err := entry.bld()
 		s.mu.Lock()
-		entry.env, entry.err = env, err
+		entry.sys, entry.err = sys, err
 		s.mu.Unlock()
 	})
 	// Once.Do orders this goroutine after the build, but read through the mu
-	// anyway so every access to entry.env/err uses one discipline.
+	// anyway so every access to entry.sys/err uses one discipline.
 	s.mu.Lock()
-	env, buildErr := entry.env, entry.err
+	sys, buildErr := entry.sys, entry.err
 	s.mu.Unlock()
 	if buildErr != nil {
 		s.dropSystem(p.mapKey, entry)
 		s.release(entry)
 		return nil, nil, warm, buildErr
 	}
-	return entry, env, warm, nil
+	return entry, sys, warm, nil
 }
 
 // handleSchedule serves POST /v1/schedule.
@@ -728,14 +745,14 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	entry, env, warm, err := s.acquireSystem(p)
+	entry, sys, warm, err := s.acquireSystem(p)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "system_build_failed", err.Error())
 		return
 	}
 	defer s.release(entry)
 
-	t0 := snapshotTiers(env)
+	t0 := snapshotTiers(sys)
 
 	var (
 		res      *core.Result
@@ -747,7 +764,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if err := s.pool.TryDo(ctx, func() {
 		queueDur = time.Since(queued)
 		t0 := time.Now()
-		res, genErr = env.GenerateContext(ctx, p.genCfg)
+		res, genErr = sys.GenerateContext(ctx, p.genCfg)
 		genDur = time.Since(t0)
 	}); err != nil {
 		switch {
@@ -797,7 +814,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	resp := ScheduleResponse{
 		Result: buildScheduleResult(&req, p, res),
-		Cache:  cacheInfo(env, warm, t0),
+		Cache:  cacheInfo(sys, warm, t0),
 		Timing: TimingInfo{
 			QueueMS:    float64(queueDur) / float64(time.Millisecond),
 			GenerateMS: float64(genDur) / float64(time.Millisecond),
@@ -812,7 +829,7 @@ func (s *Server) handleSystems(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	infos := make([]SystemInfo, 0, len(s.systems))
 	for _, e := range s.systems {
-		if e.env == nil {
+		if e.sys == nil {
 			continue // still building
 		}
 		info := SystemInfo{
@@ -820,11 +837,11 @@ func (s *Server) handleSystems(w http.ResponseWriter, _ *http.Request) {
 			Workload:       e.name,
 			Cores:          e.cores,
 			GridRes:        e.gridRes,
-			GridFactorized: e.env.Lazy != nil && e.env.Lazy.Built(),
+			GridFactorized: e.sys.Lazy != nil && e.sys.Lazy.Built(),
 			LastUsed:       e.lastUse.UTC().Format(time.RFC3339Nano),
 		}
-		info.Tier1Hits, info.Tier1Misses = e.env.Oracle.Stats()
-		if sc := e.env.StoreCache; sc != nil {
+		info.Tier1Hits, info.Tier1Misses = e.sys.Oracle.Stats()
+		if sc := e.sys.StoreCache; sc != nil {
 			info.Tier2Hits, info.Tier2Misses = sc.Stats()
 			info.StoreRecords = sc.Len()
 			info.StoreBytes = sc.SizeBytes()
@@ -921,19 +938,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var tc tierCounters
 	s.mu.Lock()
 	tc.SystemsLive = len(s.systems)
+	total := s.retired
 	for _, e := range s.systems {
-		if e.env == nil {
+		if e.sys == nil {
 			continue
 		}
-		h, m := e.env.Oracle.Stats()
-		tc.Tier1Hits += h
-		tc.Tier1Misses += m
-		if sc := e.env.StoreCache; sc != nil {
-			sh, sm := sc.Stats()
-			tc.Tier2Hits += sh
-			tc.Tier2Misses += sm
-		}
-		if fs, ok := e.env.GridFactorStats(); ok {
+		total = total.plus(snapshotTiers(e.sys))
+		if fs, ok := e.sys.GridFactorStats(); ok {
 			tc.Factors = append(tc.Factors, systemFactor{
 				Key:               fmt.Sprintf("%x", e.oracleKey),
 				Kernel:            fs.Mode,
@@ -947,6 +958,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	s.mu.Unlock()
+	tc.Tier1Hits, tc.Tier1Misses, tc.Tier2Hits, tc.Tier2Misses = total.h, total.m, total.sh, total.sm
 	tc.Shed = s.shed.Load()
 	tc.DeadlineQueued = s.dlQueued.Load()
 	tc.DeadlineGenerating = s.dlGenerating.Load()

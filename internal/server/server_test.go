@@ -450,3 +450,96 @@ func TestSystemKeyMatchesStoreFile(t *testing.T) {
 		t.Fatalf("record file %s: %v", path, err)
 	}
 }
+
+// scrapeTotals returns every *_total sample of /metrics keyed by its series
+// (name plus label set).
+func scrapeTotals(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(string(data), "\n") {
+		series, val, ok := strings.Cut(line, " ")
+		name, _, _ := strings.Cut(series, "{")
+		if !ok || strings.HasPrefix(line, "#") || !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("parsing %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// storeBytes reads the persistent store's total size from /v1/systems.
+func storeBytes(t *testing.T, base string) int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/systems")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sys SystemsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sys); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Store == nil {
+		t.Fatal("no store info")
+	}
+	return sys.Store.Bytes
+}
+
+// TestMetricsTotalsSurviveSystemDrops: the tier counters are Prometheus
+// counters, so dropping a live system — by the MaxSystems LRU bound or by
+// store eviction — must not take its traffic out of /metrics. Every *_total
+// series scraped after a forced drop is at least its value before it.
+func TestMetricsTotalsSurviveSystemDrops(t *testing.T) {
+	alpha := table1Request()
+	figure1 := map[string]any{"workload": "figure1", "tl_celsius": 165, "stcl": 60}
+
+	// Calibrate a store budget that holds either system's file but not both.
+	_, cal := newTestServer(t, Config{CacheDir: t.TempDir()})
+	postSchedule(t, cal.URL, alpha)
+	alphaBytes := storeBytes(t, cal.URL)
+	postSchedule(t, cal.URL, figure1)
+	figure1Bytes := storeBytes(t, cal.URL) - alphaBytes
+	budget := max(alphaBytes, figure1Bytes)
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"max-systems-lru", Config{MaxSystems: 1}},
+		{"store-eviction", Config{CacheDir: t.TempDir(), StoreBudget: budget}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, hs := newTestServer(t, tc.cfg)
+			postSchedule(t, hs.URL, alpha)
+			postSchedule(t, hs.URL, alpha)
+			before := scrapeTotals(t, hs.URL)
+			if before[`thermserve_tier_misses_total{tier="1"}`] == 0 {
+				t.Fatal("no tier-1 traffic recorded before the drop")
+			}
+			// The second system forces the first out of the live map.
+			postSchedule(t, hs.URL, figure1)
+			if h := fetchHealth(t, hs.URL); h.SystemsLive != 1 {
+				t.Fatalf("systems_live = %d after the forced drop, want 1", h.SystemsLive)
+			}
+			after := scrapeTotals(t, hs.URL)
+			for series, v := range before {
+				if after[series] < v {
+					t.Errorf("%s went backwards: %g → %g", series, v, after[series])
+				}
+			}
+		})
+	}
+}
